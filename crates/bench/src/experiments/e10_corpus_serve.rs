@@ -10,10 +10,11 @@
 //!   request but more queue traffic; the sweep shows where that trades
 //!   off for this corpus size.
 //! * **Saturation** — a deliberately under-provisioned service (one
-//!   worker, tiny admission queue) takes a burst of submissions; the
-//!   point is that overload shows up as *typed, counted rejections*
-//!   (`ServiceError::Overloaded`) while every admitted request still
-//!   completes exactly.
+//!   worker, tiny admission queue) takes a burst of submissions while
+//!   its worker is held; the point is that overload shows up as *typed,
+//!   counted rejections* (`ServiceError::Overloaded`), exactly as many as
+//!   the queue cannot hold, while every admitted request still completes
+//!   exactly.
 //! * **Connection sweep** — the full TCP path through the event-loop
 //!   server: 1 / 1k / 10k concurrent clients (quick: 1 / 100 / 1k) per
 //!   wire framing (NDJSON and binary frames), measuring connect (≈
@@ -160,33 +161,31 @@ struct Saturation {
 /// Bursts submissions at a one-worker service with a tiny queue; counts
 /// the typed rejections and verifies every admitted request completes.
 ///
-/// The work items must be much heavier than a (plan-cached) submission
-/// for the queue to fill: the corpus is full-sized regardless of
-/// `--quick` and the query is the transitive-closure zigzag, whose
-/// per-shard evaluation dwarfs the submit-side parse.
+/// The worker is held until the whole burst is submitted, so the outcome
+/// does not depend on how fast it drains: each request fans out into one
+/// item per shard, `QUEUE_CAPACITY / SHARDS` requests fit, and every
+/// later one is refused.
 fn saturate(cfg: &RunCfg) -> Saturation {
-    let heavy = RunCfg {
-        quick: false,
-        ..*cfg
-    };
-    let corpus = build_corpus(&heavy, 2);
+    const SHARDS: usize = 2;
+    const QUEUE_CAPACITY: usize = 6;
+    let corpus = build_corpus(cfg, SHARDS);
     let n_docs = corpus.n_docs();
     let service = QueryService::new(
         corpus,
         Engine::with_backend(Backend::Product),
         ServiceConfig {
             workers: 1,
-            queue_capacity: 6,
+            queue_capacity: QUEUE_CAPACITY,
             default_timeout: None,
             slowlog_capacity: 16,
         },
     );
     let zigzag = "(down/right | up)*[a]";
-    // warm the plan cache so every burst submission is a cheap cache hit
     service.query(zigzag).expect("warmup");
     let burst = if cfg.quick { 80u64 } else { 300 };
     let mut tickets = Vec::new();
     let mut rejected = 0u64;
+    let hold = service.hold_workers();
     for _ in 0..burst {
         match service.submit(zigzag) {
             Ok(t) => tickets.push(t),
@@ -194,7 +193,13 @@ fn saturate(cfg: &RunCfg) -> Saturation {
             Err(e) => panic!("unexpected submit error: {e}"),
         }
     }
+    drop(hold);
     let admitted = tickets.len() as u64;
+    assert_eq!(
+        admitted,
+        (QUEUE_CAPACITY / SHARDS) as u64,
+        "a held queue admits exactly what fits"
+    );
     let stats = service.shutdown();
     for t in tickets {
         let answer = t.wait();
@@ -209,7 +214,7 @@ fn saturate(cfg: &RunCfg) -> Saturation {
         submitted: burst,
         admitted,
         rejected,
-        queue_capacity: 6,
+        queue_capacity: QUEUE_CAPACITY,
     }
 }
 
@@ -812,10 +817,15 @@ mod tests {
         assert!(rendered.contains("saturation"));
         assert!(rendered.contains("conn_sweep"));
         // the burst against a 6-slot queue must actually overload it
+        let sat = get(&summary, "saturation");
         assert!(
-            int(get(get(&summary, "saturation"), "rejected")) > 0,
+            int(get(sat, "rejected")) > 0,
             "saturation produced no rejections"
         );
+        // with the worker held, a 2-shard request takes 2 of the 6 slots:
+        // 3 requests are admitted and every other one is refused
+        assert_eq!(int(get(sat, "admitted")), 3);
+        assert_eq!(int(get(sat, "rejected")), int(get(sat, "submitted")) - 3);
         // every conn point: both framings, no accept failures, no
         // mid-stream I/O errors, every request answered
         match get(&summary, "conn_sweep") {

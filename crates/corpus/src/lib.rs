@@ -49,6 +49,7 @@ pub mod store;
 pub use queue::{BoundedQueue, PushError};
 pub use service::{
     CorpusAnswer, QueryService, ServiceConfig, ServiceError, ServiceStats, ShardTiming, Ticket,
+    WorkerHold,
 };
 pub use slowlog::{SlowLog, SlowLogEntry};
 pub use store::{

@@ -16,6 +16,9 @@
 //! * **Close drains.** After [`BoundedQueue::close`], producers are
 //!   refused but consumers keep popping until the queue is empty, then
 //!   observe `None` — the graceful-shutdown contract.
+//! * **Hold pauses consumers.** Between [`BoundedQueue::hold`] and
+//!   [`BoundedQueue::release`] consumers pop nothing, so admission
+//!   outcomes can be driven exactly instead of racing the consumers.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -37,6 +40,7 @@ pub enum PushError {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    held: bool,
 }
 
 /// A bounded MPMC queue (see the [module docs](self)).
@@ -53,6 +57,7 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
                 closed: false,
+                held: false,
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
@@ -87,19 +92,34 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Pops the oldest item, blocking while the queue is empty but open.
-    /// Returns `None` once the queue is closed **and** drained.
+    /// Pops the oldest item, blocking while the queue is empty but open,
+    /// or held. Returns `None` once the queue is closed **and** drained;
+    /// a closed queue drains even while held.
     pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
+            if !inner.held || inner.closed {
+                if let Some(item) = inner.items.pop_front() {
+                    return Some(item);
+                }
+                if inner.closed {
+                    return None;
+                }
             }
             inner = self.not_empty.wait(inner).expect("queue poisoned");
         }
+    }
+
+    /// Stops consumers from popping until [`release`](Self::release);
+    /// pushes are admitted as usual.
+    pub fn hold(&self) {
+        self.inner.lock().expect("queue poisoned").held = true;
+    }
+
+    /// Lets consumers pop again and wakes every blocked one.
+    pub fn release(&self) {
+        self.inner.lock().expect("queue poisoned").held = false;
+        self.not_empty.notify_all();
     }
 
     /// Refuses all further pushes and wakes every blocked consumer.
@@ -138,6 +158,26 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
+    }
+
+    #[test]
+    fn held_queue_admits_but_pops_nothing_until_released() {
+        let q = Arc::new(BoundedQueue::new(2));
+        q.hold();
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop())
+        };
+        q.try_push_all(vec![1, 2]).unwrap();
+        assert!(
+            q.try_push_all(vec![3]).is_err(),
+            "held items keep their slots"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(q.len(), 2, "a held queue pops nothing");
+        q.release();
+        assert_eq!(consumer.join().unwrap(), Some(1));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! # Lifecycle of a request
 //!
 //! 1. [`QueryService::submit`] compiles the query once through
-//!    [`Engine::prepare_in`] against the corpus catalog — the plan cache
-//!    makes repeat queries a lookup — and fans the `Arc<Prepared>` plan
-//!    into one work item per shard.
+//!    [`Engine::prepare_in`] against the corpus catalog — parse and
+//!    simplify, then a plan-cache lookup keyed on the simplified query;
+//!    only a miss pays unsat-prune and the backend compile, so a repeat
+//!    query costs its parse, simplify and one lookup — and fans the
+//!    `Arc<Prepared>` plan into one work item per shard.
 //! 2. **Admission** is all-or-nothing and non-blocking: if the bounded
 //!    queue cannot take the whole fan-out, the request is rejected with
 //!    [`ServiceError::Overloaded`] (counted as `corpus_rejected`) rather
@@ -279,8 +281,8 @@ pub struct Ticket {
     snapshot_seq: u64,
     trace_id: TraceId,
     /// The submit thread's compile-side span (`prepare` with its parse/
-    /// simplify/plan_cache children) — `Some` iff the request is traced
-    /// and instrumentation is on.
+    /// simplify/plan_cache children, and `prune` inside `plan_cache` on a
+    /// miss) — `Some` iff the request is traced and instrumentation is on.
     prepare_span: Option<SpanNode>,
     traced: bool,
     hist_request: Arc<AtomicHistogram>,
@@ -665,6 +667,16 @@ impl QueryService {
         self.results.stats()
     }
 
+    /// Holds every worker before its next work item until the returned
+    /// guard drops. Submissions are admitted or refused as usual, so a
+    /// burst submitted under the hold meets a queue no worker drains:
+    /// exactly `queue_capacity / n_shards` requests fit, whatever the
+    /// scheduler does.
+    pub fn hold_workers(&self) -> WorkerHold<'_> {
+        self.queue.hold();
+        WorkerHold { queue: &self.queue }
+    }
+
     /// Graceful shutdown: refuses new submissions, lets the workers
     /// drain every admitted work item, joins them, and returns the final
     /// statistics. Every previously-issued [`Ticket`] completes.
@@ -674,6 +686,18 @@ impl QueryService {
             h.join().expect("worker panicked");
         }
         self.stats()
+    }
+}
+
+/// The guard of [`QueryService::hold_workers`]: workers resume when it
+/// drops.
+pub struct WorkerHold<'a> {
+    queue: &'a BoundedQueue<WorkItem>,
+}
+
+impl Drop for WorkerHold<'_> {
+    fn drop(&mut self) {
+        self.queue.release();
     }
 }
 

@@ -131,9 +131,12 @@ counters! {
     /// the rules are size-non-increasing, so this never underflows).
     SimplifyShrunkNodes => "simplify_shrunk_nodes",
     /// Downward-fragment filter subexpressions proved unsatisfiable by
-    /// the tree-automaton decision procedure and replaced with `⊥`
-    /// during the mandatory simplify stage.
+    /// the tree-automaton decision procedure and replaced with `⊥` by
+    /// the prune stage of a plan-cache miss.
     SimplifyUnsatPruned => "simplify_unsat_pruned",
+    /// Rule evaluations spent by unsat-prune's emptiness checks (each
+    /// check stops at the prune step budget and keeps its filter).
+    PruneSteps => "prune_steps",
     /// Corpus query requests submitted to a `QueryService`.
     CorpusRequests => "corpus_requests",
     /// Corpus requests rejected by admission control (`Overloaded`).

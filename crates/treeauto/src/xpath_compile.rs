@@ -231,6 +231,117 @@ pub fn compile_simple(f: &Simple, n_labels: u32, accept: AcceptAt) -> Nfta {
     }
 }
 
+/// [`compile_simple`] with a cost bound: gives up with `None` instead of
+/// making more than `budget` rule evaluations.
+///
+/// A rule evaluation computes the type of one `(left, right, label)`
+/// triple. Completing the construction takes exactly
+/// `(types + 1)² · n_labels` of them, so the budget caps how many
+/// reachable types the EXPTIME fixpoint may explore — the shape of bound
+/// Bárcenas et al. put on their lean-based satisfiability procedures.
+/// Within the budget the result is the automaton [`compile_simple`]
+/// builds, rule for rule: each round pairs only the types the previous
+/// round discovered, visiting the unseen triples in the same order the
+/// full fixpoint does, without its per-triple lookups. [`compile_simple`]
+/// stays the reference this construction is tested against.
+pub fn compile_simple_budgeted(
+    f: &Simple,
+    n_labels: u32,
+    accept: AcceptAt,
+    budget: usize,
+) -> Option<Nfta> {
+    let mut cl = Vec::new();
+    closure(f, &mut cl);
+    let k = cl.len();
+    let idx: HashMap<&Simple, usize> = cl.iter().enumerate().map(|(i, g)| (g, i)).collect();
+
+    type TypeKey = (Vec<bool>, Vec<bool>, Vec<bool>);
+    let mut types: Vec<TypeKey> = Vec::new();
+    let mut intern: HashMap<TypeKey, u32> = HashMap::new();
+    let mut rules: Vec<Rule> = Vec::new();
+
+    let step = |lab: Label, left: Option<&TypeKey>, right: Option<&TypeKey>| -> TypeKey {
+        let mut t = vec![false; k];
+        for (i, g) in cl.iter().enumerate() {
+            t[i] = match g {
+                Simple::True => true,
+                Simple::Label(l) => *l == lab,
+                Simple::SomeChild(h) => left.is_some_and(|(_, c, _)| c[idx[&**h]]),
+                Simple::SomeDesc(h) => left.is_some_and(|(_, _, s)| s[idx[&**h]]),
+                Simple::Not(h) => !t[idx[&**h]],
+                Simple::And(g1, g2) => t[idx[&**g1]] && t[idx[&**g2]],
+                Simple::Or(g1, g2) => t[idx[&**g1]] || t[idx[&**g2]],
+            };
+        }
+        let mut c = t.clone();
+        if let Some((_, cr, _)) = right {
+            c.iter_mut().zip(cr).for_each(|(x, y)| *x |= y);
+        }
+        let mut s = t.clone();
+        for (_, _, sx) in left.into_iter().chain(right) {
+            s.iter_mut().zip(sx).for_each(|(x, y)| *x |= y);
+        }
+        (t, c, s)
+    };
+
+    // options are `None` (index 0) then the types in discovery order;
+    // the triples over options `0..done` are already evaluated
+    let option = |i: usize| i.checked_sub(1).map(|t| t as u32);
+    let mut done = 0;
+    while done < types.len() + 1 {
+        let n_options = types.len() + 1;
+        for lo in 0..n_options {
+            let ro_start = if lo < done { done } else { 0 };
+            for ro in ro_start..n_options {
+                let (lo, ro) = (option(lo), option(ro));
+                for lab in 0..n_labels {
+                    if rules.len() == budget {
+                        return None;
+                    }
+                    let ty = step(
+                        Label(lab),
+                        lo.map(|i| &types[i as usize]),
+                        ro.map(|i| &types[i as usize]),
+                    );
+                    let state = match intern.get(&ty) {
+                        Some(&i) => i,
+                        None => {
+                            let i = types.len() as u32;
+                            intern.insert(ty.clone(), i);
+                            types.push(ty);
+                            i
+                        }
+                    };
+                    rules.push(Rule {
+                        left: lo,
+                        right: ro,
+                        label: Label(lab),
+                        state,
+                    });
+                }
+            }
+        }
+        done = n_options;
+    }
+
+    let fi = idx[f];
+    let finals = types
+        .iter()
+        .enumerate()
+        .filter(|(_, (t, _, s))| match accept {
+            AcceptAt::Root => t[fi],
+            AcceptAt::SomeNode => s[fi],
+        })
+        .map(|(i, _)| i as u32)
+        .collect();
+    Some(Nfta {
+        n_states: types.len() as u32,
+        n_labels,
+        rules,
+        finals,
+    })
+}
+
 /// Compiles a downward-fragment Core XPath node expression directly.
 pub fn compile_node_expr(
     f: &NodeExpr,
@@ -318,6 +429,33 @@ mod tests {
                     !sem.is_empty(),
                     "some-node acceptance mismatch for {fs} on {t:?}"
                 );
+            }
+        }
+    }
+
+    /// Within its budget the bounded construction builds the very same
+    /// automaton; one evaluation short of completion it gives up.
+    #[test]
+    fn budgeted_compile_is_exact_or_gives_up() {
+        for fs in [
+            "a0",
+            "<down[a1]>",
+            "<down+[a0 and leaf]>",
+            "<down/down[a0]> or !a1",
+            "<down+[<down[a1]>]> and !<down[a0]>",
+        ] {
+            let s = to_simple(&expr(fs)).unwrap();
+            for accept in [AcceptAt::Root, AcceptAt::SomeNode] {
+                let full = compile_simple(&s, 2, accept);
+                let needed = full.rules.len();
+                // the construction evaluates every (left, right, label) triple
+                assert_eq!(needed, (full.n_states as usize + 1).pow(2) * 2, "{fs}");
+                assert_eq!(
+                    compile_simple_budgeted(&s, 2, accept, needed).as_ref(),
+                    Some(&full),
+                    "{fs}"
+                );
+                assert_eq!(compile_simple_budgeted(&s, 2, accept, needed - 1), None);
             }
         }
     }

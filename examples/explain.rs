@@ -44,9 +44,10 @@ fn main() {
         stats.hits, stats.misses
     );
 
-    // the mandatory simplify stage also prunes provably-unsatisfiable
-    // downward filters (decided by type-automaton emptiness), visible as
-    // the simplify_unsat_pruned counter in the profile
+    // a plan-cache miss also prunes provably-unsatisfiable downward
+    // filters (decided by type-automaton emptiness under a step budget),
+    // visible as the simplify_unsat_pruned and prune_steps counters in
+    // the profile
     let contradiction = "down*[book and !book]";
     let profile = engine.explain(&doc, contradiction, root).expect("query");
     println!(

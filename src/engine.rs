@@ -1,13 +1,13 @@
 //! A document-level query engine over the three equivalent back ends.
 //!
 //! [`Engine`] compiles Regular XPath(W) queries through a staged pipeline
-//! — parse → simplify → plan-cache lookup → backend compile — and
-//! evaluates them through a selectable [`Backend`]: the NFA-product
-//! evaluator, the nested tree walking automaton, or the FO(MTC) model
-//! checker. Because the paper's translations are exact, all back ends
-//! return identical answers; the engine exists so downstream code can pick
-//! the cost profile it wants (and so the equivalence is a one-liner to
-//! demonstrate).
+//! — parse → simplify → plan-cache lookup, then unsat-prune and backend
+//! compile on a miss — and evaluates them through a selectable
+//! [`Backend`]: the NFA-product evaluator, the nested tree walking
+//! automaton, or the FO(MTC) model checker. Because the paper's
+//! translations are exact, all back ends return identical answers; the
+//! engine exists so downstream code can pick the cost profile it wants
+//! (and so the equivalence is a one-liner to demonstrate).
 //!
 //! Compilation is decoupled from documents: queries resolve against a
 //! document's alphabet (or a shared, append-only
@@ -125,23 +125,68 @@ impl From<ResolveError> for EngineError {
     }
 }
 
-/// A compiled backend artifact: exactly one of the three equivalent forms,
+/// A compiled backend artifact: exactly one of the equivalent forms,
 /// matching the backend the plan was compiled for.
 #[derive(Debug)]
-enum Plan {
+enum Artifact {
     Product(Compiled),
     Automaton(Ntwa),
     Logic(Formula),
     Vm(twx_vm::Program),
 }
 
-impl Plan {
-    fn compile(path: &RPath, backend: Backend) -> Plan {
+impl Artifact {
+    fn compile(path: &RPath, backend: Backend) -> Artifact {
         match backend {
-            Backend::Product => Plan::Product(Compiled::new(path)),
-            Backend::Automaton => Plan::Automaton(rpath_to_ntwa(path)),
-            Backend::Logic => Plan::Logic(rpath_to_formula(path, 0, 1, 2)),
-            Backend::Vm => Plan::Vm(twx_vm::compile_path(path)),
+            Backend::Product => Artifact::Product(Compiled::new(path)),
+            Backend::Automaton => Artifact::Automaton(rpath_to_ntwa(path)),
+            Backend::Logic => Artifact::Logic(rpath_to_formula(path, 0, 1, 2)),
+            Backend::Vm => Artifact::Vm(twx_vm::compile_path(path)),
+        }
+    }
+}
+
+/// Everything a plan-cache miss computes once for a simplified query:
+/// the pruned AST, the backend artifact compiled from it, and the
+/// fingerprint result caches key its answers by.
+#[derive(Debug)]
+struct Plan {
+    path: RPath,
+    artifact: Artifact,
+    fingerprint: u64,
+}
+
+impl Plan {
+    /// Prunes statically-unsatisfiable downward filters from `simplified`
+    /// (the `prune` stage; see [`crate::prune`]), re-simplifies if that
+    /// introduced a `⊥`, and compiles the result for `backend`.
+    fn compile(simplified: &RPath, backend: Backend) -> Plan {
+        let path = {
+            let _stage = obs::trace::stage("prune");
+            let pruned = crate::prune::prune_unsat_rpath(simplified);
+            if pruned == *simplified {
+                pruned
+            } else {
+                simplify_rpath(&pruned)
+            }
+        };
+        let artifact = {
+            let _t = obs::span(Counter::CompileNanos);
+            Artifact::compile(&path, backend)
+        };
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        path.hash(&mut h);
+        backend.name().hash(&mut h);
+        // VM programs carry their own process-independent instruction
+        // fingerprint; folding it in ties the cache key to the exact
+        // bytecode that will answer.
+        if let Artifact::Vm(p) = &artifact {
+            p.fingerprint().hash(&mut h);
+        }
+        Plan {
+            fingerprint: h.finish(),
+            path,
+            artifact,
         }
     }
 }
@@ -171,11 +216,14 @@ const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// A concurrent, bounded plan cache.
 ///
-/// Keyed by the **simplified query AST** plus the backend. Labels inside
-/// the AST are numeric ids, so a cached plan is exact for any document
-/// whose alphabet assigns those ids the same way — i.e. documents sharing
-/// a [`Catalog`]. Artifacts are `Arc`-shared: an eviction never
-/// invalidates a live [`Prepared`].
+/// Keyed by the **simplified query AST before unsat-pruning**, so a hit
+/// costs one hash and one read lock, and pruning — an EXPTIME decision
+/// procedure per filter, even under its step budget — runs only on a
+/// miss. Each engine owns its cache and never changes backend, so the
+/// backend is not part of the key. Labels inside the AST are numeric ids,
+/// so a cached plan is exact for any document whose alphabet assigns
+/// those ids the same way — i.e. documents sharing a [`Catalog`]. Plans
+/// are `Arc`-shared: an eviction never invalidates a live [`Prepared`].
 ///
 /// Global hit/miss/eviction totals are kept in atomics (visible via
 /// [`Engine::cache_stats`]); the same events also tick the thread-local
@@ -191,8 +239,8 @@ struct PlanCache {
 
 #[derive(Debug)]
 struct CacheInner {
-    map: HashMap<(RPath, Backend), Arc<Plan>>,
-    order: VecDeque<(RPath, Backend)>,
+    map: HashMap<RPath, Arc<Plan>>,
+    order: VecDeque<RPath>,
     capacity: usize,
 }
 
@@ -210,12 +258,12 @@ impl PlanCache {
         }
     }
 
-    /// Returns the cached plan for `(path, backend)`, compiling and
-    /// inserting it on a miss.
+    /// Returns the cached plan for the simplified query `path`, pruning,
+    /// compiling for `backend` and inserting it on a miss.
     fn get_or_compile(&self, path: &RPath, backend: Backend) -> Arc<Plan> {
         {
             let inner = self.inner.read().expect("plan cache poisoned");
-            if let Some(plan) = inner.map.get(&(path.clone(), backend)) {
+            if let Some(plan) = inner.map.get(path) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 obs::incr(Counter::PlanCacheHits);
                 obs::incr(Counter::MemoHits);
@@ -228,15 +276,12 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         obs::incr(Counter::PlanCacheMisses);
         obs::incr(Counter::MemoMisses);
-        let plan = {
-            let _t = obs::span(Counter::CompileNanos);
-            Arc::new(Plan::compile(path, backend))
-        };
-        let key = (path.clone(), backend);
+        let plan = Arc::new(Plan::compile(path, backend));
         let mut inner = self.inner.write().expect("plan cache poisoned");
-        if let Some(existing) = inner.map.get(&key) {
+        if let Some(existing) = inner.map.get(path) {
             return Arc::clone(existing);
         }
+        let key = path.clone();
         inner.map.insert(key.clone(), Arc::clone(&plan));
         inner.order.push_back(key);
         while inner.map.len() > inner.capacity {
@@ -526,8 +571,9 @@ impl ResultCache {
 }
 
 /// A compiled query: the product of the full pipeline (parse → simplify →
-/// cached backend compile), reusable across context nodes, threads, and
-/// every document sharing the label space it was compiled against.
+/// cached prune and backend compile), reusable across context nodes,
+/// threads, and every document sharing the label space it was compiled
+/// against.
 ///
 /// `Prepared` is `Send + Sync` and holds its artifact behind an [`Arc`],
 /// so it stays valid even after the plan is evicted from the engine's
@@ -536,7 +582,6 @@ impl ResultCache {
 pub struct Prepared {
     text: String,
     raw_size: usize,
-    path: RPath,
     backend: Backend,
     plan: Arc<Plan>,
     /// The shared per-backend eval-latency series (resolved once at
@@ -560,11 +605,11 @@ impl Prepared {
         let ctx_set = NodeSet::singleton(t.len(), ctx);
         let _stage = obs::trace::stage("eval");
         let clock = obs::Clock::start();
-        let result = match &*self.plan {
-            Plan::Product(c) => c.image(t, &ctx_set),
-            Plan::Automaton(a) => twx_twa::eval_image(t, a, &ctx_set),
-            Plan::Logic(f) => twx_fotc::eval_binary(t, f, 0, 1).image(&ctx_set),
-            Plan::Vm(p) => twx_vm::eval_image_opts(
+        let result = match &self.plan.artifact {
+            Artifact::Product(c) => c.image(t, &ctx_set),
+            Artifact::Automaton(a) => twx_twa::eval_image(t, a, &ctx_set),
+            Artifact::Logic(f) => twx_fotc::eval_binary(t, f, 0, 1).image(&ctx_set),
+            Artifact::Vm(p) => twx_vm::eval_image_opts(
                 t,
                 p,
                 &ctx_set,
@@ -578,20 +623,11 @@ impl Prepared {
     }
 
     /// A stable-within-this-process fingerprint of the compiled plan:
-    /// the simplified AST plus the backend. Two `Prepared` values that
-    /// would answer identically over the same label space fingerprint
-    /// identically.
+    /// the pruned AST plus the backend, computed once when the plan was
+    /// compiled. Two `Prepared` values that would answer identically over
+    /// the same label space fingerprint identically.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.path.hash(&mut h);
-        self.backend.name().hash(&mut h);
-        // VM programs carry their own process-independent instruction
-        // fingerprint; folding it in ties the cache key to the exact
-        // bytecode that will answer.
-        if let Plan::Vm(p) = &*self.plan {
-            p.fingerprint().hash(&mut h);
-        }
-        h.finish()
+        self.plan.fingerprint
     }
 
     /// The preorder span of `doc` this query's answer from `ctx` can
@@ -600,7 +636,7 @@ impl Prepared {
     /// with cached answers and tested against edit spans at
     /// invalidation.
     pub fn touched_span(&self, doc: &Document, ctx: NodeId) -> Span {
-        if self.path.is_downward() {
+        if self.plan.path.is_downward() {
             Span {
                 start: ctx.0,
                 end: doc.tree.subtree_end(ctx),
@@ -689,17 +725,17 @@ impl Prepared {
 
     fn profile(&self, doc: &Document, result: &NodeSet, counters: obs::Counters) -> QueryProfile {
         let mut compiled = CompiledSizes {
-            query_size: self.path.size(),
+            query_size: self.plan.path.size(),
             ..CompiledSizes::default()
         };
-        match &*self.plan {
-            Plan::Product(c) => compiled.nfa_states = c.n_states() as usize,
-            Plan::Automaton(a) => {
+        match &self.plan.artifact {
+            Artifact::Product(c) => compiled.nfa_states = c.n_states() as usize,
+            Artifact::Automaton(a) => {
                 compiled.ntwa_states = a.total_states();
                 compiled.ntwa_subtests = ntwa_subtests(a);
             }
-            Plan::Logic(f) => compiled.formula_size = f.size(),
-            Plan::Vm(p) => {
+            Artifact::Logic(f) => compiled.formula_size = f.size(),
+            Artifact::Vm(p) => {
                 compiled.vm_instrs = p.n_instrs();
                 compiled.vm_regs = p.n_regs_total();
             }
@@ -716,9 +752,10 @@ impl Prepared {
         }
     }
 
-    /// The simplified query AST the plan was compiled from.
+    /// The simplified and unsat-pruned query AST the plan was compiled
+    /// from.
     pub fn path(&self) -> &RPath {
-        &self.path
+        &self.plan.path
     }
 
     /// AST size as parsed, before the mandatory simplify stage.
@@ -844,23 +881,19 @@ impl Engine {
 
     /// The shared simplify + cache + compile tail of the pipeline.
     ///
-    /// The simplify stage is two-phase: the syntactic rewriting fixpoint
-    /// of [`simplify_rpath`], then the automata-backed unsat-pruning
-    /// pass of [`crate::prune`], which replaces statically-unsatisfiable
-    /// downward filters with `⊥` (counted as `simplify_unsat_pruned`).
-    /// The plan cache is keyed on the fully-simplified AST, so a pruned
-    /// query and its hand-simplified form share one plan.
+    /// The `simplify` stage runs the syntactic rewriting fixpoint of
+    /// [`simplify_rpath`] on every prepare. Its output keys the
+    /// `plan_cache` stage. Only a miss runs the automata-backed
+    /// unsat-pruning pass of [`crate::prune`] (a `prune` stage nested in
+    /// `plan_cache`), which replaces statically-unsatisfiable downward
+    /// filters with `⊥` (counted as `simplify_unsat_pruned`) and is
+    /// followed by a re-simplify, then the backend compile. A hit reuses
+    /// all three.
     fn finish_pipeline(&self, query: &str, raw: RPath) -> Prepared {
         let raw_size = raw.size();
         let path = {
             let _stage = obs::trace::stage("simplify");
-            let path = simplify_rpath(&raw);
-            let pruned = crate::prune::prune_unsat_rpath(&path);
-            if pruned == path {
-                path
-            } else {
-                simplify_rpath(&pruned)
-            }
+            simplify_rpath(&raw)
         };
         let plan = {
             let _stage = obs::trace::stage("plan_cache");
@@ -869,7 +902,6 @@ impl Engine {
         Prepared {
             text: query.to_string(),
             raw_size,
-            path,
             backend: self.backend,
             plan,
             eval_hist: eval_histogram(self.backend),
@@ -885,7 +917,8 @@ impl Engine {
 
     /// Like [`query`](Engine::query), but collects a span tree of the
     /// pipeline (`parse` → `simplify` → `plan_cache` → `eval`, each with
-    /// nanosecond timings and counter deltas) alongside the answer.
+    /// nanosecond timings and counter deltas; a plan-cache miss nests its
+    /// `prune` stage in `plan_cache`) alongside the answer.
     ///
     /// The answer is **identical** to an untraced [`query`](Engine::query) —
     /// instrumentation never perturbs evaluation. The trace is `None`
@@ -1304,6 +1337,28 @@ mod tests {
             #[cfg(not(feature = "obs"))]
             assert!(tree.is_none());
         }
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn prune_is_traced_inside_plan_cache_on_a_miss_only() {
+        let d = doc();
+        let root = d.tree.root();
+        let engine = Engine::new();
+        let plan_cache_children = || {
+            let (_, tree) = engine.query_traced(&d, "down*[b and !b]", root).unwrap();
+            let tree = tree.expect("trace collected when obs is on");
+            let stage = tree
+                .root
+                .children
+                .iter()
+                .find(|c| c.name == "plan_cache")
+                .expect("plan_cache stage");
+            let names: Vec<String> = stage.children.iter().map(|c| c.name.clone()).collect();
+            (names, stage.counters.get(Counter::SimplifyUnsatPruned))
+        };
+        assert_eq!(plan_cache_children(), (vec!["prune".to_string()], 1));
+        assert_eq!(plan_cache_children(), (vec![], 0));
     }
 
     #[cfg(feature = "obs")]

@@ -1,16 +1,22 @@
-//! Unsat pruning: an exact, automata-backed pass of the mandatory
-//! simplify stage.
+//! Unsat pruning: an automata-backed pass the engine runs on a plan-cache
+//! miss, between the simplify stage and the backend compile.
 //!
 //! The syntactic rules in `twx_regxpath::simplify` only recognise `⊥`
 //! literally. This pass goes further on the **downward fragment** (axes
 //! `↓`, `↓⁺` only), where satisfiability is decidable by the bottom-up
 //! type automaton of [`twx_treeauto::xpath_compile`]: every filter and
 //! test subexpression of a query that falls in the fragment is checked,
-//! and statically-unsatisfiable ones are replaced by `⊥` — which the
+//! and statically-unsatisfiable ones are replaced by `⊥` — which a
 //! following simplify fixpoint then propagates, often collapsing whole
 //! branches of the plan before any backend sees them. Each replacement
-//! ticks the `simplify_unsat_pruned` counter, so the pass is visible in
+//! ticks the `simplify_unsat_pruned` counter, and every check adds the
+//! rule evaluations it spent to `prune_steps`, so the pass is visible in
 //! EXPLAIN profiles.
+//!
+//! The decision procedure is EXPTIME, so each check runs under a fixed
+//! step budget ([`MAX_CHECK_STEPS`]); a check that exhausts it answers
+//! "unknown" and the filter is kept. Keeping a filter is always sound —
+//! pruning is an optimisation, never a requirement.
 //!
 //! Soundness under shared catalogs: a [`Catalog`](twx_xtree::Catalog) is
 //! append-only, so a plan compiled today must stay correct for documents
@@ -27,7 +33,7 @@ use twx_corexpath::ast::{Axis, NodeExpr, PathExpr, Step};
 use twx_obs::{self as obs, Counter};
 use twx_regxpath::simplify::{is_false, is_true};
 use twx_regxpath::{RNode, RPath};
-use twx_treeauto::xpath_compile::{compile_simple, to_simple, AcceptAt, Simple};
+use twx_treeauto::xpath_compile::{compile_simple_budgeted, to_simple, AcceptAt, Simple};
 use twx_xtree::Label;
 
 /// Cost caps: the decision procedure is EXPTIME in the worst case, so
@@ -36,6 +42,14 @@ use twx_xtree::Label;
 /// optimisation, never a requirement.)
 const MAX_SIMPLE_SIZE: usize = 48;
 const MAX_LABELS: u32 = 8;
+
+/// Rule evaluations one emptiness check may spend before it gives up and
+/// keeps its filter. Completing a check over `n` labels that reaches `T`
+/// types costs `(T + 1)² · n` evaluations, so this admits 44 types over
+/// two labels (the largest check in this module's tests needs 36) and
+/// stops `down*[<down[c]> or <down[d]>]` (128 types over three labels,
+/// 49,923 evaluations) at a few milliseconds instead of ~80.
+pub const MAX_CHECK_STEPS: usize = 4096;
 
 /// Replaces statically-unsatisfiable downward filter/test subexpressions
 /// of `p` with `⊥`, bottom-up. Returns the rewritten path; when nothing
@@ -58,7 +72,7 @@ pub fn prune_unsat_rpath(p: &RPath) -> RPath {
 /// filters), then decides the formula itself.
 fn prune_filter(f: &RNode) -> RNode {
     let f = prune_inside(f);
-    if is_false(&f) || is_true(&f) {
+    if is_false(&f) || trivially_satisfiable(&f) {
         return f;
     }
     if is_unsat_downward(&f) {
@@ -82,8 +96,15 @@ fn prune_inside(f: &RNode) -> RNode {
     }
 }
 
+/// `⊤` and bare label tests hold at some node of some tree over any
+/// alphabet: no automaton is needed to keep them.
+fn trivially_satisfiable(f: &RNode) -> bool {
+    is_true(f) || matches!(f, RNode::Label(_))
+}
+
 /// Exact unsatisfiability for downward-fragment formulas; `false` for
-/// anything outside the fragment or beyond the cost caps.
+/// anything outside the fragment, beyond the cost caps, or whose check
+/// exhausts [`MAX_CHECK_STEPS`].
 fn is_unsat_downward(f: &RNode) -> bool {
     let mut labels = BTreeMap::new();
     let Some(converted) = to_downward_node(f, &mut labels) else {
@@ -99,7 +120,13 @@ fn is_unsat_downward(f: &RNode) -> bool {
     if simple_size(&simple) > MAX_SIMPLE_SIZE {
         return false;
     }
-    let auto = compile_simple(&simple, n_labels, AcceptAt::SomeNode);
+    let Some(auto) =
+        compile_simple_budgeted(&simple, n_labels, AcceptAt::SomeNode, MAX_CHECK_STEPS)
+    else {
+        obs::add(Counter::PruneSteps, MAX_CHECK_STEPS as u64);
+        return false;
+    };
+    obs::add(Counter::PruneSteps, auto.rules.len() as u64);
     auto.tree_emptiness_witness().is_none()
 }
 
@@ -224,6 +251,102 @@ mod tests {
         // W(⟨↓[b]⟩ ∧ ¬⟨↓⟩) is unsat: a node with a b-child but no child
         let pruned = simplify_rpath(&prune_unsat_rpath(&path("down[W(<down[b]> and leaf)]")));
         assert!(twx_regxpath::simplify::is_empty_path(&pruned));
+    }
+
+    /// Every check runs under the step budget: a check that completes
+    /// reports its exact evaluation count, one that exhausts the budget
+    /// reports the budget and keeps its filter.
+    #[test]
+    fn checks_stop_at_the_step_budget() {
+        let catalog = Catalog::from_names(["a", "b", "c", "d"]);
+        let steps = |q: &str| {
+            let p = simplify_rpath(&parse_rpath_catalog(q, &catalog).unwrap());
+            let before = obs::snapshot();
+            let pruned = prune_unsat_rpath(&p);
+            (
+                p,
+                pruned,
+                obs::delta_since(&before).get(Counter::PruneSteps),
+            )
+        };
+        // the largest check this module's tests need: 36 types, 2 labels
+        let (_, pruned, n) = steps("down[W(<down[b]> and leaf)]");
+        assert!(twx_regxpath::simplify::is_empty_path(&simplify_rpath(
+            &pruned
+        )));
+        if obs::ENABLED {
+            assert_eq!(n, 37 * 37 * 2);
+        }
+        // one check that would need 141,267 evaluations; then two that
+        // would need 49,923 and over 200,000 (the bare-label filters are
+        // shortcut)
+        for (q, checks) in [
+            ("down*[<down[c]> and <down[d]>]", 1),
+            ("down*[<down[<down[c]> or <down[d]>]> or <down[a]>]", 2),
+        ] {
+            let (p, pruned, n) = steps(q);
+            assert_eq!(p, pruned, "{q}: an exhausted check keeps its filter");
+            if obs::ENABLED {
+                assert_eq!(n, checks * MAX_CHECK_STEPS as u64, "{q}");
+            }
+        }
+    }
+
+    fn filters(p: &RPath, out: &mut Vec<RNode>) {
+        match p {
+            RPath::Axis(_) | RPath::Eps => {}
+            RPath::Test(f) => filters_in(f, out),
+            RPath::Seq(a, b) | RPath::Union(a, b) => {
+                filters(a, out);
+                filters(b, out);
+            }
+            RPath::Star(a) => filters(a, out),
+            RPath::Filter(a, f) => {
+                filters(a, out);
+                filters_in(f, out);
+            }
+        }
+    }
+
+    fn filters_in(f: &RNode, out: &mut Vec<RNode>) {
+        out.push(f.clone());
+        match f {
+            RNode::True | RNode::Label(_) => {}
+            RNode::Some(p) => filters(p, out),
+            RNode::Not(g) | RNode::Within(g) => filters_in(g, out),
+            RNode::And(g, h) | RNode::Or(g, h) => {
+                filters_in(g, out);
+                filters_in(h, out);
+            }
+        }
+    }
+
+    /// The shortcut never keeps a filter the automaton would prune: every
+    /// trivially satisfiable (sub)formula of the random expressions that
+    /// `pruning_is_sound` uses has a non-empty, unbudgeted automaton.
+    #[test]
+    fn trivially_satisfiable_agrees_with_the_automaton() {
+        let mut rng = SplitMix64::seed_from_u64(2026);
+        let cfg = RGenConfig::default();
+        let mut shortcut = 0;
+        for _ in 0..30 {
+            let mut fs = Vec::new();
+            filters(&random_rpath(&cfg, 4, &mut rng), &mut fs);
+            for f in fs.iter().filter(|f| trivially_satisfiable(f)) {
+                let mut labels = BTreeMap::new();
+                let converted = to_downward_node(f, &mut labels).expect("downward");
+                let simple = to_simple(&converted).expect("downward");
+                let n_labels = labels.len() as u32 + 1;
+                let auto = twx_treeauto::xpath_compile::compile_simple(
+                    &simple,
+                    n_labels,
+                    AcceptAt::SomeNode,
+                );
+                assert!(auto.tree_emptiness_witness().is_some(), "{f:?}");
+                shortcut += 1;
+            }
+        }
+        assert!(shortcut > 0, "the random formulas exercise the shortcut");
     }
 
     /// Pruning is semantics-preserving on bounded domains, fuzzed over

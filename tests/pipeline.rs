@@ -258,3 +258,59 @@ fn explain_shows_simplify_and_cache_counters() {
     assert_eq!(second.counters.get(obs::Counter::PlanCacheHits), 1);
     assert_eq!(second.counters.get(obs::Counter::PlanCacheMisses), 0);
 }
+
+/// Unsat-prune runs on a plan-cache miss only: the second prepare of a
+/// prunable query is a hit that prunes nothing, and it serves the same
+/// pruned plan under the same fingerprint.
+#[test]
+fn plan_cache_hits_skip_unsat_prune() {
+    let catalog = Catalog::from_names(["a", "b"]);
+    let engine = Engine::new();
+    let q = "down*[b and !b]";
+    let before = obs::snapshot();
+    let cold = engine.prepare_in(&catalog, q).unwrap();
+    let cold_delta = obs::delta_since(&before);
+    let before = obs::snapshot();
+    let hot = engine.prepare_in(&catalog, q).unwrap();
+    let hot_delta = obs::delta_since(&before);
+    assert!(twx_regxpath::simplify::is_empty_path(cold.path()));
+    assert_eq!(hot.path(), cold.path());
+    assert_eq!(hot.fingerprint(), cold.fingerprint());
+    if obs::ENABLED {
+        assert_eq!(cold_delta.get(obs::Counter::PlanCacheMisses), 1);
+        assert_eq!(cold_delta.get(obs::Counter::SimplifyUnsatPruned), 1);
+        assert_eq!(hot_delta.get(obs::Counter::PlanCacheHits), 1);
+        assert_eq!(hot_delta.get(obs::Counter::SimplifyUnsatPruned), 0);
+        assert_eq!(hot_delta.get(obs::Counter::PruneSteps), 0);
+    }
+}
+
+/// A query whose exact unsat check would explore an exponential type
+/// automaton (minutes unbounded) prepares under the step budget, cold and
+/// hot, and keeps its filters.
+#[test]
+fn exhausted_prune_budget_keeps_the_query() {
+    let catalog = Catalog::from_names(["a", "b", "c", "d"]);
+    let engine = Engine::new();
+    let q = "down*[<down[<down[c]> or <down[d]>]> or <down[a]>]";
+    let unpruned = simplify_rpath(&twx_regxpath::parser::parse_rpath_catalog(q, &catalog).unwrap());
+    // two filters reach the automaton (the bare labels are shortcut), and
+    // each check gives up at the budget
+    let mut steps = Vec::new();
+    for _ in 0..2 {
+        let before = obs::snapshot();
+        let prepared = engine.prepare_in(&catalog, q).unwrap();
+        steps.push(obs::delta_since(&before).get(obs::Counter::PruneSteps));
+        assert_eq!(*prepared.path(), unpruned);
+    }
+    let stats = engine.cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1));
+    if obs::ENABLED {
+        let budget = treewalk::prune::MAX_CHECK_STEPS as u64;
+        assert_eq!(
+            steps,
+            [2 * budget, 0],
+            "cold: two exhausted checks; hot: none"
+        );
+    }
+}
